@@ -155,6 +155,18 @@ func TestRatioBases(t *testing.T) {
 	}
 }
 
+// TestCalibrationScale pins the scaling base: the reference CPU over
+// the mean of the two samples around the measured work.
+func TestCalibrationScale(t *testing.T) {
+	c := &calibrator{samples: []float64{9 * calRefS, calRefS, 3 * calRefS}}
+	if got := c.between(1, 2); !near(got, 0.5) {
+		t.Errorf("scale = %v, want 0.5", got)
+	}
+	if cpu := calibrationCPU(200, map[[2]uint64]uint32{}); cpu <= 0 {
+		t.Errorf("calibration used %v s of CPU", cpu)
+	}
+}
+
 func TestSloRate(t *testing.T) {
 	const limit = 5000
 	pass := func(rate, p99 float64) rungResult {

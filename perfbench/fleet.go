@@ -82,7 +82,9 @@ func runFleetChild(args []string) int {
 	}
 	tr.End(root)
 	// The workers have been reaped when Run returns, so their CPU time
-	// is in this process's children total.
+	// is in this process's children total. Set-up ends when the last
+	// worker process has been started; each worker's own index load
+	// follows and is counted in the sweep's CPU.
 	ready, readyCPU := backend.lastStarted()
 	rep := repResult{
 		SetupS:   ready.Sub(t0).Seconds(),

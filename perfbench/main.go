@@ -65,7 +65,7 @@ var endToEnd = []metric{
 	{Name: "setup_s", Unit: "s"},
 	{Name: "peak_rss_mb", Unit: "MB"},
 	{Name: "cpu_us_per_op", Unit: "us"},
-	{Name: "cpu_ms_per_solve", Unit: "ms"},
+	{Name: "cpu_ms_per_job", Unit: "ms"},
 }
 
 // perLayer are the metrics every workload reports with --trace 1, in
@@ -134,6 +134,8 @@ func main() {
 			os.Exit(runSweepChild(os.Args[2:]))
 		case childFleet:
 			os.Exit(runFleetChild(os.Args[2:]))
+		case childCal:
+			os.Exit(runCalChild())
 		}
 	}
 	var o options

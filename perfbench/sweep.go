@@ -119,13 +119,19 @@ func sweepN(o options) int {
 
 // runSweepWorkload is the parent side of fsync-n10 and fleet-n10: it
 // runs fresh child processes for about --seconds (at least minReps)
-// and reports medians. With --trace it runs one untraced and one
-// traced repetition and reports the traced one's layers.
+// and reports medians, with each repetition's CPU figures scaled by the
+// calibrations taken just before and after it. With --trace it
+// runs one untraced and one traced repetition and reports the traced
+// one's layers.
 func runSweepWorkload(o options, mode string) (*result, error) {
 	n := sweepN(o)
 	res := &result{}
 	var reps []repResult
-	var walls, rss []float64
+	var walls, rss, jobCPU []float64
+	var cal *calibrator
+	if !o.trace {
+		cal = &calibrator{}
+	}
 	start := time.Now()
 	for i := 0; ; i++ {
 		if o.trace && i == 2 {
@@ -138,7 +144,10 @@ func runSweepWorkload(o options, mode string) (*result, error) {
 			}
 		}
 		traced := o.trace && i == 1
-		rep, wall, maxRSS, err := runChild(o, mode, n, traced, i)
+		if cal != nil {
+			cal.sample()
+		}
+		rep, wall, cpu, maxRSS, err := runChild(o, mode, n, traced, i)
 		if err != nil {
 			return nil, err
 		}
@@ -148,15 +157,15 @@ func runSweepWorkload(o options, mode string) (*result, error) {
 		}
 		reps = append(reps, rep)
 		walls = append(walls, wall)
+		jobCPU = append(jobCPU, cpu*1e3)
 		rss = append(rss, maxRSS)
 	}
-	var setups, setupCPU, rates, cpuPerPattern, cpuPerSweep []float64
+	var setups, setupCPU, rates, cpuPerPattern []float64
 	for _, r := range reps {
 		setups = append(setups, r.SetupS)
 		setupCPU = append(setupCPU, r.SetupCPU)
 		rates = append(rates, float64(r.Patterns)/r.SweepS)
 		cpuPerPattern = append(cpuPerPattern, r.CPUS/float64(r.Patterns)*1e6)
-		cpuPerSweep = append(cpuPerSweep, r.CPUS*1e3)
 	}
 	errRate := ratio(float64(res.Failed), float64(res.Attempted))
 	if o.trace {
@@ -164,36 +173,53 @@ func runSweepWorkload(o options, mode string) (*result, error) {
 		// difference on wall clocks.
 		res.Metrics = append(reps[1].Layers, metric{"trace.overhead_frac", reps[1].CPUS/reps[0].CPUS - 1, "ratio"})
 	} else {
+		cal.sample()
+		if cal.err != nil {
+			return nil, cal.err
+		}
+		scaled := func(xs []float64) float64 {
+			ys := make([]float64, len(xs))
+			for i, x := range xs {
+				ys[i] = x * cal.between(i, i+1)
+			}
+			return median(ys)
+		}
 		res.Metrics = []metric{
-			{"setup_s", median(setupCPU), "s"},
+			{"setup_s", scaled(setupCPU), "s"},
 			{"peak_rss_mb", median(rss), "MB"},
-			{"cpu_us_per_op", median(cpuPerPattern), "us"},
-			{"cpu_ms_per_solve", median(cpuPerSweep), "ms"},
+			{"cpu_us_per_op", scaled(cpuPerPattern), "us"},
+			{"cpu_ms_per_job", scaled(jobCPU), "ms"},
+		}
+		res.Report = []metric{
+			{"calibration_cpu_s", median(cal.samples), "s"},
+			{"setup_cpu_raw_s", median(setupCPU), "s"},
+			{"cpu_us_per_op_raw", median(cpuPerPattern), "us"},
+			{"cpu_ms_per_job_raw", median(jobCPU), "ms"},
 		}
 	}
-	res.Report = []metric{
+	res.Report = append(res.Report, []metric{
 		{"patterns_per_s", median(rates), "1/s"},
 		{"setup_wall_s", median(setups), "s"},
 		{"peak_rss_mb", median(rss), "MB"},
 		{"error_rate", errRate, "ratio"},
 		{"report_wall_s", median(walls), "s"},
 		{"repetitions", float64(len(reps)), "count"},
-	}
+	}...)
 	return res, nil
 }
 
 // runChild runs one repetition in a fresh process and returns its
-// answer, its wall time from exec to exit, and the peak RSS in MB of
-// the largest process of its tree.
-func runChild(o options, mode string, n int, traced bool, i int) (repResult, float64, float64, error) {
-	var rep repResult
+// answer, its wall time and the CPU seconds of its process tree from
+// exec to exit, and the peak RSS in MB of the largest process of the
+// tree.
+func runChild(o options, mode string, n int, traced bool, i int) (rep repResult, wall, cpu, maxRSS float64, err error) {
 	exe, err := os.Executable()
 	if err != nil {
-		return rep, 0, 0, err
+		return rep, 0, 0, 0, err
 	}
 	dir := filepath.Join(o.work, fmt.Sprintf("rep-%d", i))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return rep, 0, 0, err
+		return rep, 0, 0, 0, err
 	}
 	defer os.RemoveAll(dir)
 	args := []string{mode, "-n", fmt.Sprint(n), "-work", dir, "-bin", o.bin}
@@ -206,18 +232,21 @@ func runChild(o options, mode string, n int, traced bool, i int) (repResult, flo
 	cmd.Stderr = os.Stderr
 	t0 := time.Now()
 	err = cmd.Run()
-	wall := time.Since(t0).Seconds()
+	wall = time.Since(t0).Seconds()
 	if err != nil {
-		return rep, 0, 0, fmt.Errorf("%s repetition %d: %v", mode, i, err)
+		return rep, 0, 0, 0, fmt.Errorf("%s repetition %d: %v", mode, i, err)
 	}
 	lines := bytes.Split(bytes.TrimSpace(out.Bytes()), []byte("\n"))
 	if err := json.Unmarshal(lines[len(lines)-1], &rep); err != nil {
-		return rep, 0, 0, fmt.Errorf("%s repetition %d: unreadable answer: %v", mode, i, err)
+		return rep, 0, 0, 0, fmt.Errorf("%s repetition %d: unreadable answer: %v", mode, i, err)
 	}
-	// wait4 reports the larger of the child's own peak and the peaks of
-	// the children it reaped, so a fleet reports its largest process.
-	maxRSS := float64(cmd.ProcessState.SysUsage().(*syscall.Rusage).Maxrss) / 1024
-	return rep, wall, maxRSS, nil
+	// wait4 folds the children the child reaped into its usage: CPU
+	// time is summed over the tree, and the peak RSS is the largest of
+	// the child's own and theirs, so a fleet reports its largest process.
+	ps := cmd.ProcessState
+	cpu = (ps.UserTime() + ps.SystemTime()).Seconds()
+	maxRSS = float64(ps.SysUsage().(*syscall.Rusage).Maxrss) / 1024
+	return rep, wall, cpu, maxRSS, nil
 }
 
 // childFlags parses the flags every child mode takes.
@@ -265,7 +294,7 @@ func runSweepChild(args []string) int {
 	}
 	var alg *timedAlg
 	var rt *runtimeSampler
-	var initials []config.Config
+	var cases []sweep.CaseResult
 	var visit func(sweep.CaseResult) error
 	if traced {
 		// The timing wrapper must see every decision, so it wraps the
@@ -274,7 +303,7 @@ func runSweepChild(args []string) int {
 		alg = &timedAlg{inner: core.Memoize(core.Gatherer{}, spec.Cache)}
 		spec.Alg, spec.Cache = alg, nil
 		visit = func(c sweep.CaseResult) error {
-			initials = append(initials, c.Initial)
+			cases = append(cases, c)
 			return nil
 		}
 		rt = startRuntimeSampler()
@@ -308,12 +337,11 @@ func runSweepChild(args []string) int {
 			{"memo.states", float64(report.Memo.Created), "count"},
 			{"memo.hit_rate", ratio(float64(report.Memo.Hits), float64(report.Memo.Lookups())), "ratio"},
 			{"sweep.stream_s", rep.SweepS, "s"},
-			{"sweep.visit_ns", ratio(float64(end.Sub(src.first).Nanoseconds()), float64(len(initials))), "ns"},
 			{"sweep.pending_high_water", float64(report.PeakPending), "count"},
 			{"runtime.gc_cpu_frac", gcFrac, "ratio"},
 			{"runtime.heap_peak_mb", heapPeak, "MB"},
 		}
-		rep.Layers = append(rep.Layers, replayLayers(tr, root, initials)...)
+		rep.Layers = append(rep.Layers, replayLayers(tr, root, report, cases)...)
 		if err := writeTrace(tr, spans); err != nil {
 			fmt.Fprintf(os.Stderr, "perfbench: %v\n", err)
 		}
@@ -334,18 +362,32 @@ func writeTrace(tr *Tracer, path string) error {
 	return f.Close()
 }
 
-// replayLayers times direct calls into config, step and sim over the
-// sweep's own patterns, single-threaded: key decoding, connectivity,
-// and one memoized FSYNC walk per pattern with a fresh store, whose
-// self time is the walk minus the decisions made inside it.
-func replayLayers(tr *Tracer, root int, initials []config.Config) []metric {
-	keys := make([]config.Key128, len(initials))
-	nodes := make([][]grid.Coord, len(initials))
-	for i, c := range initials {
-		keys[i], _ = c.Key128()
-		nodes[i] = c.Nodes()
+// replayLayers times direct calls over the sweep's own delivered
+// cases, single-threaded: the in-order collector's per-case work (the
+// aggregator's Absorb), key decoding, connectivity, and one memoized
+// FSYNC walk per pattern with a fresh store, whose self time is the
+// walk minus the decisions made inside it.
+func replayLayers(tr *Tracer, root int, report *sweep.Report, cases []sweep.CaseResult) []metric {
+	agg := sweep.NewAggregator(sweep.Meta{
+		Algorithm: report.Algorithm, Scheduler: report.Scheduler, Robots: report.Robots,
+		Source: report.Source, Patterns: report.Patterns, Schedules: report.Schedules,
+	}, false)
+	id := tr.Begin("sweep.absorb", root)
+	for _, c := range cases {
+		agg.Absorb(c)
 	}
-	id := tr.Begin("config.decode", root)
+	tr.End(id)
+	absorb := spanOf(tr, id)
+
+	initials := make([]config.Config, len(cases))
+	keys := make([]config.Key128, len(cases))
+	nodes := make([][]grid.Coord, len(cases))
+	for i, c := range cases {
+		initials[i] = c.Initial
+		keys[i], _ = c.Initial.Key128()
+		nodes[i] = c.Initial.Nodes()
+	}
+	id = tr.Begin("config.decode", root)
 	for _, k := range keys {
 		if _, err := config.FromKey128(k); err != nil {
 			fmt.Fprintf(os.Stderr, "perfbench: decode: %v\n", err)
@@ -371,6 +413,7 @@ func replayLayers(tr *Tracer, root int, initials []config.Config) []metric {
 	walk := spanOf(tr, id)
 	per := func(d time.Duration, n int) float64 { return ratio(float64(d.Nanoseconds()), float64(n)) }
 	return []metric{
+		{"sweep.visit_ns", per(absorb, len(cases)), "ns"},
 		{"config.decode_ns", per(decode, len(keys)), "ns"},
 		{"step.connected_ns", per(connected, len(nodes)), "ns"},
 		{"sim.walk_self_s", (walk - time.Duration(alg.ns.Load())).Seconds(), "s"},

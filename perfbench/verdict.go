@@ -72,6 +72,9 @@ type mixInputs struct {
 	misses []config.Config
 	kinds  []missKind
 	novel  []config.Config // the distinct novel keys, in send order
+	// more are two further samples of the n = 9 space, interleaved with
+	// novel, that only the in-process solve passes use.
+	more [2][]config.Config
 }
 
 func makeMixInputs(p mixParams, seed int64) mixInputs {
@@ -101,6 +104,13 @@ func makeMixInputs(p mixParams, seed int64) mixInputs {
 		in.novel = append(in.novel, c)
 		in.misses = append(in.misses, c)
 		in.kinds = append(in.kinds, novelMiss)
+	}
+	for i := range in.more {
+		shift := offset + (i+1)*stride/3
+		for _, j := range order {
+			c, _ := config.FromKey128(keys9[(shift+j*stride)%len(keys9)])
+			in.more[i] = append(in.more[i], c)
+		}
 	}
 	return in
 }
@@ -192,16 +202,19 @@ type usage struct {
 }
 
 // stop sends SIGTERM, waits for the drain, and returns the daemon's
-// peak RSS and CPU time.
+// peak RSS and CPU time. The peak is read from /proc before the signal:
+// wait4's figure also counts this process's own peak RSS at the fork,
+// because a child started with vfork reports it as its own.
 func (d *daemon) stop() (usage, error) {
+	rss := vmHWM(d.cmd.Process.Pid)
 	d.cmd.Process.Signal(syscall.SIGTERM)
 	timer := time.AfterFunc(30*time.Second, func() { d.cmd.Process.Kill() })
 	err := d.cmd.Wait()
 	timer.Stop()
 	ps := d.cmd.ProcessState
-	u := usage{
-		rssMB: float64(ps.SysUsage().(*syscall.Rusage).Maxrss) / 1024,
-		cpuS:  (ps.UserTime() + ps.SystemTime()).Seconds(),
+	u := usage{rssMB: rss, cpuS: (ps.UserTime() + ps.SystemTime()).Seconds()}
+	if u.rssMB == 0 {
+		u.rssMB = float64(ps.SysUsage().(*syscall.Rusage).Maxrss) / 1024
 	}
 	// verdictd answers /healthz before it installs its SIGTERM handler,
 	// so a daemon stopped right after start-up dies of the signal
@@ -212,6 +225,22 @@ func (d *daemon) stop() (usage, error) {
 		return u, fmt.Errorf("verdictd: %v: %s", err, d.stderr.String())
 	}
 	return u, nil
+}
+
+// vmHWM is a live process's own peak RSS in MB, or 0 when
+// /proc/PID/status cannot be read.
+func vmHWM(pid int) float64 {
+	data, err := os.ReadFile(fmt.Sprintf("/proc/%d/status", pid))
+	if err != nil {
+		return 0
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if v, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			kb, _ := strconv.ParseFloat(strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(v), "kB")), 64)
+			return kb / 1024
+		}
+	}
+	return 0
 }
 
 // onFreshDaemon starts a verdictd, runs f against it and stops it.
@@ -226,16 +255,6 @@ func onFreshDaemon(bin string, f func(*daemon) error) (usage, error) {
 		return u, ferr
 	}
 	return u, err
-}
-
-// threadCPU is the CPU time of the calling OS thread, in seconds.
-func threadCPU() float64 {
-	const rusageThread = 1 // RUSAGE_THREAD on Linux
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(rusageThread, &ru); err != nil {
-		return 0
-	}
-	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano()).Seconds()
 }
 
 // counter reads one series of the daemon's /metrics page.
@@ -412,9 +431,9 @@ func sloRate(rungs []rungResult, limitUS float64) float64 {
 // hit ladder on another, whose CPU less start-up is what the hits
 // cost. Every miss answer is then checked against an in-process
 // reference solve of the same keys in the same order, which also
-// measures each solve's CPU time. Traced, the mixed phase runs a second
-// time with spans on a fresh daemon instead of the ladder, and direct
-// calls into serve, adversary, sched and sim with the same keys follow.
+// measures each solve's CPU time. Traced, the mixed phase records its
+// requests as spans, the ladder is skipped, and direct calls into
+// serve, adversary, sched and sim with the same keys follow.
 func runVerdictMix(o options) (*result, error) {
 	p := fullMix
 	if o.smoke {
@@ -428,6 +447,15 @@ func runVerdictMix(o options) (*result, error) {
 	}
 	in := makeMixInputs(p, o.seed)
 	res := &result{}
+	// Untraced, the CPU figures are scaled by calibrations taken
+	// between the phases, while no daemon runs.
+	var cal *calibrator
+	calSample := func() {}
+	if !o.trace {
+		cal = &calibrator{}
+		calSample = cal.sample
+	}
+	calSample()
 
 	var setups, startCPU []float64
 	for i := 0; i < p.setupReps; i++ {
@@ -447,31 +475,31 @@ func runVerdictMix(o options) (*result, error) {
 		tr = &Tracer{}
 	}
 	root := tr.Begin("verdict-mix", 0)
+	calSample()
 	var ph phase
+	var solves, cached float64
 	mixed, err := onFreshDaemon(o.bin, func(d *daemon) error {
-		ph = mixedPhase(d, p, in, res, nil, 0)
-		return nil
+		id := tr.Begin("mixed", root)
+		ph = mixedPhase(d, p, in, res, tr, id)
+		tr.End(id)
+		if !o.trace {
+			return nil
+		}
+		var err error
+		if solves, err = d.counter("verdictd_solves_total"); err != nil {
+			return err
+		}
+		cached, err = d.counter("verdictd_cached_total")
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
+	calSample()
 
 	var rungs []rungResult
-	var traced phase
-	var solves, cached, cpuPerHit float64
-	if o.trace {
-		_, err = onFreshDaemon(o.bin, func(d *daemon) error {
-			id := tr.Begin("mixed", root)
-			traced = mixedPhase(d, p, in, res, tr, id)
-			tr.End(id)
-			var err error
-			if solves, err = d.counter("verdictd_solves_total"); err != nil {
-				return err
-			}
-			cached, err = d.counter("verdictd_cached_total")
-			return err
-		})
-	} else {
+	var cpuPerHit float64
+	if !o.trace {
 		var ladderU usage
 		ladderU, err = onFreshDaemon(o.bin, func(d *daemon) error {
 			rungs = ladder(d, p, in, res)
@@ -486,6 +514,7 @@ func runVerdictMix(o options) (*result, error) {
 	if err != nil {
 		return nil, err
 	}
+	calSample()
 
 	// Reference: an in-process Service solves the same keys in the same
 	// order; every miss answer must match it. The solves run on one
@@ -528,6 +557,30 @@ func runVerdictMix(o options) (*result, error) {
 	}
 	checkMisses(ph)
 
+	// Untraced, two more passes follow, each over another sample of the
+	// n = 9 space on a fresh Service: the median of 320 keys still
+	// moves with the seed. The solve figure is the median over all
+	// three passes' solves, each scaled by the calibrations on either
+	// side of its pass. Calibrations 0–3 were taken before the set-up
+	// starts, the mixed phase, the ladder and the first pass.
+	var scaledSolves []float64
+	if !o.trace {
+		calSample()
+		for _, ms := range solveCPUMS {
+			scaledSolves = append(scaledSolves, ms*cal.between(3, 4))
+		}
+		for i, keys := range in.more {
+			cpu, err := solveCPU(keys)
+			if err != nil {
+				return nil, err
+			}
+			calSample()
+			for _, ms := range cpu {
+				scaledSolves = append(scaledSolves, ms*cal.between(4+i, 5+i))
+			}
+		}
+	}
+
 	res.Report = []metric{
 		{"setup_wall_s", median(setups), "s"},
 		{"peak_rss_mb", mixed.rssMB, "MB"},
@@ -546,19 +599,25 @@ func runVerdictMix(o options) (*result, error) {
 			fmt.Printf("rung %6.0f/s offered %9.1f/s achieved p99 %8.1fus lateness growth %7.1fus pass %v\n",
 				r.rate, r.achieved, r.p99US, r.latenessGrowthUS, r.pass)
 		}
+		if cal.err != nil {
+			return nil, cal.err
+		}
 		res.Report = append(res.Report,
 			metric{"slo_rps", slo, "1/s"},
-			metric{"error_rate", ratio(float64(res.Failed), float64(res.Attempted)), "ratio"})
+			metric{"error_rate", ratio(float64(res.Failed), float64(res.Attempted)), "ratio"},
+			metric{"calibration_cpu_s", median(cal.samples), "s"},
+			metric{"setup_cpu_raw_s", median(startCPU), "s"},
+			metric{"cpu_us_per_op_raw", cpuPerHit, "us"},
+			metric{"cpu_ms_per_job_raw", median(solveCPUMS), "ms"})
 		res.Metrics = []metric{
-			{"setup_s", median(startCPU), "s"},
+			{"setup_s", median(startCPU) * cal.between(0, 1), "s"},
 			{"peak_rss_mb", mixed.rssMB, "MB"},
-			{"cpu_us_per_op", cpuPerHit, "us"},
-			{"cpu_ms_per_solve", median(solveCPUMS), "ms"},
+			{"cpu_us_per_op", cpuPerHit * cal.between(2, 3), "us"},
+			{"cpu_ms_per_job", median(scaledSolves), "ms"},
 		}
 		return res, nil
 	}
 
-	checkMisses(traced)
 	res.Report = append(res.Report, metric{"error_rate", ratio(float64(res.Failed), float64(res.Attempted)), "ratio"})
 	res.Metrics = append(serveLayers(tr, root, svc, in), []metric{
 		{"serve.solve_ms_p50", median(solveMS), "ms"},
@@ -566,12 +625,11 @@ func runVerdictMix(o options) (*result, error) {
 		{"serve.solves_per_novel_key", ratio(solves, float64(len(in.novel))), "ratio"},
 		{"serve.cached", cached, "count"},
 		{"serve.heap_growth_kb_per_miss", ratio(float64(int64(heap1.HeapAlloc)-int64(heap0.HeapAlloc))/1024, float64(len(in.novel))), "KB"},
-		{"trace.overhead_frac", median(traced.hitUS)/median(ph.hitUS) - 1, "ratio"},
-		{"gen.lateness_p99_us", quantile(traced.lateness, 0.99), "us"},
+		{"gen.lateness_p99_us", quantile(ph.lateness, 0.99), "us"},
 	}...)
 	for _, m := range res.Metrics {
 		if m.Name == "serve.verdict_hit_ns" {
-			res.Metrics = append(res.Metrics, metric{"serve.http_hit_overhead_us", median(traced.hitUS) - m.Value/1e3, "us"})
+			res.Metrics = append(res.Metrics, metric{"serve.http_hit_overhead_us", median(ph.hitUS) - m.Value/1e3, "us"})
 		}
 	}
 	tr.End(root)
@@ -579,6 +637,58 @@ func runVerdictMix(o options) (*result, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// solveCPU solves the keys in order on a fresh Service, on one locked
+// OS thread, and returns each solve's CPU time in ms.
+func solveCPU(keys []config.Config) ([]float64, error) {
+	svc, err := serve.NewService(serve.Options{})
+	if err != nil {
+		return nil, err
+	}
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	ms := make([]float64, len(keys))
+	for i, c := range keys {
+		c0 := threadCPU()
+		if _, _, err := svc.Verdict(context.Background(), "", c); err != nil {
+			return nil, fmt.Errorf("solve %s: %v", c.Key(), err)
+		}
+		ms[i] = (threadCPU() - c0) * 1e3
+	}
+	return ms, nil
+}
+
+// tracingOverhead is what tracing adds where it touches the program's
+// code path on this workload: the decision-timing wrapper. It runs the
+// FSYNC solves of the novel keys with and without the wrapper, each
+// time with fresh stores, on one locked OS thread, and returns the
+// median over three alternating pairs of wrapped CPU ÷ plain CPU − 1.
+// The HTTP phases are not compared: their spans are recorded after the
+// requests complete, so they run the same code traced or not.
+func tracingOverhead(keys []config.Config, opts sim.Options) float64 {
+	run := func(wrap bool) float64 {
+		m := core.Memoize(core.Gatherer{}, core.NewMemo())
+		var alg core.Algorithm = m
+		if wrap {
+			alg = &timedAlg{inner: m}
+		}
+		o := opts
+		o.Outcomes = memo.NewOutcomes()
+		c0 := threadCPU()
+		for _, c := range keys {
+			sim.Run(alg, c, o)
+		}
+		return threadCPU() - c0
+	}
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	var fracs []float64
+	for i := 0; i < 3; i++ {
+		plain := run(false)
+		fracs = append(fracs, ratio(run(true), plain)-1)
+	}
+	return median(fracs)
 }
 
 // serveLayers times direct calls with the workload's keys: the table
@@ -636,6 +746,7 @@ func serveLayers(tr *Tracer, root int, svc *serve.Service, in mixInputs) []metri
 	n := float64(len(in.novel))
 	st := store.Stats()
 	return []metric{
+		{"trace.overhead_frac", tracingOverhead(in.novel, opts), "ratio"},
 		{"serve.table_lookup_ns", float64(lookup.Nanoseconds()) / hitCalls, "ns"},
 		{"serve.verdict_hit_ns", float64(hit.Nanoseconds()) / hitCalls, "ns"},
 		{"sim.fsync_run_us", float64(fsync) / 1e3 / n, "us"},
