@@ -3,7 +3,7 @@ package sched
 // Equivalence tests for sched.Run's outcome-store clients: with
 // Options.Outcomes set, Run must report the same Status, Rounds and
 // Moves as the direct loop for every pattern, scheduler, round budget
-// and store state — tier B (the periodic memoized walk) and tier A
+// and store state — the periodic memoized walk (sim.Walk) and tier A
 // (universal no-mover facts) are pure optimizations.
 
 import (
@@ -36,6 +36,10 @@ func schedCompare(t *testing.T, label string, c config.Config, direct, memod sim
 	if !direct.Final.SamePattern(memod.Final) {
 		t.Fatalf("%s: pattern %s: finals differ as patterns: %s vs %s",
 			label, c.Key(), direct.Final.Key(), memod.Final.Key())
+	}
+	if (direct.Collision == nil) != (memod.Collision == nil) ||
+		(direct.Collision != nil && direct.Collision.Kind != memod.Collision.Kind) {
+		t.Fatalf("%s: pattern %s: collision info differs: %v vs %v", label, c.Key(), direct.Collision, memod.Collision)
 	}
 }
 

@@ -55,6 +55,8 @@ type ConfigScheduler interface {
 type Periodic interface {
 	Scheduler
 	// Period returns the scheduler's period for n robots (at least 1).
+	// Period 1 also declares full activation (FSYNC): with an outcome
+	// store, such a run shares bare pattern keys with the simulator.
 	Period(n int) int
 }
 
@@ -137,65 +139,43 @@ func (s *RandomSubset) Select(n, _ int) []int {
 // Run executes alg from initial under the given scheduler. Robots not
 // activated in a round keep their positions (they are not even activated
 // for a Look). The outcome semantics match sim.Run; with the FSYNC
-// scheduler the two are identical.
-//
-// Like sim.Run, the loop rides the shared transition kernel
-// (internal/step): views go through the memoized packed fast path when
-// the algorithm provides one, collisions are checked by the kernel's
-// sorted detector, scratch buffers are reused across rounds, and cycle
-// detection keys patterns with config.PatternSet instead of strings.
+// scheduler the two are identical. Like sim.Run, the loop rides the
+// shared transition kernel (internal/step).
 //
 // Cycle detection under partial activation: a repeated pattern alone
 // proves a livelock only when the future schedule is determined. For
 // schedulers that declare a period (Periodic — FSYNC, RoundRobin), the
 // execution state is exactly (pattern, round mod period), so Run keys
-// the cycle set on that pair and reports Livelock on a repeat; the
-// deterministic partial-activation defeats (CENT's 166 patterns) are
-// detected within a couple of rotations instead of burning the whole
-// round budget into RoundLimit. Non-periodic schedulers keep the
-// conservative historical rule: only patterns reached by a
+// the cycle sets on that pair and reports Livelock on a repeat; CENT's
+// deterministic defeats are detected within a couple of rotations
+// instead of burning the round budget into RoundLimit. Non-periodic
+// schedulers keep the conservative rule: only patterns reached by a
 // full-activation round enter the cycle set.
 //
 // Outcome memoization (opts.Outcomes, ignored with RecordTrace set):
-// for deterministic periodic non-adaptive schedulers the execution
-// state is (pattern, round mod period), so Run keys the shared outcome
-// store on that pair (memo.Key.WithPhase) and the run becomes the same
-// memoized graph walk the FSYNC simulator does — cut short at the
-// first known state, walked suffixes published backwards, results
-// bit-identical to the unmemoized run (the splice guards mirror
-// internal/sim's; Final is reported up to translation). Idle rounds
-// are extra execution state the pattern key cannot carry, so only
-// states entered fresh (idle == 0: the initial state, and every state
-// just after a moving round) are keyed; Outcome.Raw carries the idle
-// iterations a budget splice must account for. For every other
-// scheduler — the seeded random SSYNC adversaries, the adaptive
-// heuristics — future activations are not a function of the state, so
-// only the one schedule-independent fact is shared: a pattern with no
-// movers resolves (gathered or stalled) identically under every
-// scheduler. Run publishes that fact when a full activation proves it
-// and splices it when the remaining budget provably covers the
-// direct loop's own idle-streak resolution (within 4·n iterations),
-// which is what lets a 32-seed SSYNC robustness sweep skip the stall
-// tails of all its schedules after the first.
+// a periodic non-adaptive scheduler's run is sim.Walk, the memoized
+// configuration-graph walk (internal/sim/memoized.go), driven by this
+// scheduler's activation rounds. For every other scheduler — the
+// seeded random SSYNC adversaries, the adaptive heuristics — future
+// activations are not a function of the state, and only one fact is
+// shared (tier A): a pattern with no movers under full activation
+// resolves, gathered or stalled, identically under every scheduler.
+// Run publishes that fact when a full activation proves it and splices
+// it through sim.SpliceStall, which is what lets a 32-seed SSYNC
+// robustness sweep skip the stall tails of all its schedules after the
+// first.
 func Run(alg core.Algorithm, initial config.Config, s Scheduler, opts sim.Options) sim.Result {
 	maxRounds := opts.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = sim.DefaultMaxRounds
 	}
-	k := step.New(alg)
-	goal := opts.Goal
-	if goal == nil {
-		goal = config.GoalFor(initial.Len())
-	}
-	cur := initial
-	res := sim.Result{Final: cur}
-	if opts.RecordTrace {
-		res.Trace = append(res.Trace, cur)
-	}
 	n := initial.Len()
+	a := activation{k: step.New(alg), s: s, targets: make([]grid.Coord, n), moving: make([]bool, n)}
 	cs, adaptive := s.(ConfigScheduler)
 	period := 0 // 0: no declared period — full-activation rounds only
-	if per, ok := s.(Periodic); ok && !adaptive {
+	if adaptive {
+		a.cs = cs
+	} else if per, ok := s.(Periodic); ok {
 		if period = per.Period(n); period < 1 {
 			period = 1
 		}
@@ -204,15 +184,28 @@ func Run(alg core.Algorithm, initial config.Config, s Scheduler, opts sim.Option
 	if opts.RecordTrace {
 		st = nil // a splice cannot reconstruct the skipped trace
 	}
-	var walk *schedWalk
 	if st != nil && period > 0 && opts.DetectCycles && opts.StopOnDisconnect {
-		// Tier B: the full memoized walk replaces the cycle sets (its
-		// path index detects the same (pattern, phase) repeats).
-		walk = newSchedWalk(st, period, n)
+		return sim.Walk(initial, period, opts, func(cfg config.Config, nodes []grid.Coord, round int, dst []grid.Coord) ([]grid.Coord, int, *step.CollisionInfo, bool) {
+			moved, coll, _, stop := a.round(cfg, nodes, round)
+			if coll != nil || moved == 0 {
+				return nil, moved, coll, stop
+			}
+			return step.Successor(a.targets, dst), moved, nil, false
+		})
+	}
+
+	goal := opts.Goal
+	if goal == nil {
+		goal = config.GoalFor(n)
+	}
+	cur := initial
+	res := sim.Result{Final: cur}
+	if opts.RecordTrace {
+		res.Trace = append(res.Trace, cur)
 	}
 	var seen *config.PatternSet    // phase-0 set (pooled via opts.CycleSet)
 	var phases []config.PatternSet // phase-1..period-1 sets, lazily zero-valued
-	if opts.DetectCycles && walk == nil {
+	if opts.DetectCycles {
 		if opts.CycleSet != nil {
 			seen = opts.CycleSet
 			seen.Reset()
@@ -225,106 +218,56 @@ func Run(alg core.Algorithm, initial config.Config, s Scheduler, opts sim.Option
 		}
 	}
 	robots := make([]grid.Coord, 0, n)
-	targets := make([]grid.Coord, n)
-	moving := make([]bool, n)
-	idle := 0 // consecutive rounds with no movement
 	for round := 0; round < maxRounds; round++ {
 		robots = cur.AppendNodes(robots[:0])
-		if idle == 0 && st != nil {
-			if walk != nil {
-				if r, spliced := walk.visit(robots, cur, round, maxRounds, &res); spliced {
-					return r
-				}
-			} else if out, ok := st.Load(memo.KeyOf(robots)); ok && out.Rounds == 0 && out.Raw == 0 {
+		if a.idle == 0 && st != nil {
+			if out, ok := st.Load(memo.KeyOf(robots)); ok && out.Rounds == 0 && out.Raw == 0 {
 				// Tier A: a universal no-mover fact ends any schedule.
-				if r, spliced := (&schedWalk{n: n}).spliceStall(out, round, maxRounds, cur, &res); spliced {
+				if r, spliced := sim.SpliceStall(out, res, round, n, maxRounds); spliced {
 					return r
 				}
 			}
 		}
-		var active []int
-		if adaptive {
-			active = cs.SelectConfig(robots, round)
-		} else {
-			active = s.Select(len(robots), round)
-		}
-		targets, moving = targets[:len(robots)], moving[:len(robots)]
-		moved := 0
-		for i, p := range robots {
-			targets[i] = p
-			moving[i] = false
-		}
-		for _, i := range active {
-			if m := k.MoveAt(cur, robots, robots[i]); m.IsMove() {
-				targets[i] = m.Apply(robots[i])
-				moving[i] = true
-				moved++
-			}
-		}
-		if coll := step.DetectCollision(robots, targets, moving); coll != nil {
+		moved, coll, full, stop := a.round(cur, robots, round)
+		if coll != nil {
 			res.Status = sim.Collision
 			res.Collision = coll
 			res.Final = cur
-			if walk != nil {
-				walk.terminal(sim.Collision, round, cur, coll)
-			}
 			return res
 		}
 		if moved == 0 {
-			// Under partial activation an idle round is not conclusive:
-			// a different activation set may still move. Only a full
-			// activation (or a long idle streak under FSYNC-equivalent
-			// semantics) decides. Idle rounds never enter the cycle
-			// sets: for a periodic scheduler a whole idle period means
-			// no activated robot wants to move, which resolves through
-			// this stall path, not as a livelock.
-			if len(active) == len(robots) || idle >= 4*len(robots) {
-				if goal(cur) {
-					res.Status = sim.Gathered
-				} else {
-					res.Status = sim.Stalled
-				}
-				res.Final = cur
-				if walk != nil {
-					walk.terminal(res.Status, round, cur, nil)
-				} else if st != nil && len(active) == len(robots) {
-					// Tier A publishes only the full-activation proof:
-					// no robot moved with everyone active, so the
-					// pattern has no movers under any scheduler. A long
-					// idle streak proves that only for schedulers known
-					// to have activated every robot, which non-periodic
-					// schedules cannot guarantee.
-					st.Publish(memo.KeyOf(robots), memo.Outcome{Status: uint8(res.Status), Final: cur})
-				}
-				return res
+			if !stop {
+				continue
 			}
-			idle++
-			continue
+			if goal(cur) {
+				res.Status = sim.Gathered
+			} else {
+				res.Status = sim.Stalled
+			}
+			res.Final = cur
+			if st != nil && full {
+				// Tier A publishes only the full-activation proof: no
+				// robot moved with everyone active, so the pattern has
+				// no movers under any scheduler. A long idle streak
+				// proves that only for schedulers known to have
+				// activated every robot, which non-periodic schedules
+				// cannot guarantee.
+				st.Publish(memo.KeyOf(robots), memo.Outcome{Status: uint8(res.Status), Final: cur})
+			}
+			return res
 		}
-		idle = 0
 		res.Rounds++
 		res.Moves += moved
-		cur = config.New(targets...)
+		cur = config.New(a.targets...)
 		res.Final = cur
 		if opts.RecordTrace {
 			res.Trace = append(res.Trace, cur)
 		}
 		if opts.StopOnDisconnect && !cur.Connected() {
 			res.Status = sim.Disconnected
-			if walk != nil {
-				walk.disconnected(round, &res)
-			}
 			return res
 		}
-		if walk != nil {
-			key := walk.key(cur.AppendNodes(robots[:0]), round+1)
-			if t0, on := walk.idx[key]; on {
-				walk.closeCycle(t0, round, &res)
-				res.Status = sim.Livelock
-				return res
-			}
-			walk.pending, walk.hasPending = key, true
-		} else if opts.DetectCycles {
+		if opts.DetectCycles {
 			if period > 0 {
 				// The state entering round round+1 is (cur, phase); a
 				// repeat replays the same deterministic future forever.
@@ -336,7 +279,7 @@ func Run(alg core.Algorithm, initial config.Config, s Scheduler, opts sim.Option
 					res.Status = sim.Livelock
 					return res
 				}
-			} else if len(active) == len(robots) && !seen.Add(cur) {
+			} else if full && !seen.Add(cur) {
 				res.Status = sim.Livelock
 				return res
 			}
@@ -344,4 +287,53 @@ func Run(alg core.Algorithm, initial config.Config, s Scheduler, opts sim.Option
 	}
 	res.Status = sim.RoundLimit
 	return res
+}
+
+// activation is one run's scheduler rounds: the scheduler, the kernel
+// that decides the activated robots' moves, the move scratch, and the
+// current streak of idle rounds.
+type activation struct {
+	k       step.Kernel
+	s       Scheduler
+	cs      ConfigScheduler // set for adaptive schedulers
+	targets []grid.Coord
+	moving  []bool
+	idle    int
+}
+
+// round executes loop iteration round from cur (robots: its sorted
+// nodes), leaving the move vector in a.targets and a.moving. It returns
+// the number of movers, the first collision, whether every robot was
+// activated, and, when nothing moved, whether that ends the run. Under
+// partial activation an idle round is not conclusive — a different
+// activation set may still move — so only a full activation or a long
+// idle streak decides. Idle rounds never enter the cycle sets: for a
+// periodic scheduler a whole idle period means no activated robot
+// wants to move, which resolves through the stall, not as a livelock.
+func (a *activation) round(cur config.Config, robots []grid.Coord, round int) (moved int, coll *step.CollisionInfo, full, stop bool) {
+	var active []int
+	if a.cs != nil {
+		active = a.cs.SelectConfig(robots, round)
+	} else {
+		active = a.s.Select(len(robots), round)
+	}
+	copy(a.targets, robots)
+	clear(a.moving)
+	for _, i := range active {
+		if m := a.k.MoveAt(cur, robots, robots[i]); m.IsMove() {
+			a.targets[i] = m.Apply(robots[i])
+			a.moving[i] = true
+			moved++
+		}
+	}
+	full = len(active) == len(robots)
+	if coll = step.DetectCollision(robots, a.targets, a.moving); coll != nil || moved > 0 {
+		a.idle = 0
+		return moved, coll, full, false
+	}
+	if full || a.idle >= 4*len(robots) {
+		return 0, nil, full, true
+	}
+	a.idle++
+	return 0, nil, full, false
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/enumerate"
 	"repro/internal/memo"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -106,45 +107,66 @@ func TestMemoizedBudgetEquivalence(t *testing.T) {
 // hit by a run whose own prefix has already entered that cycle. For
 // every livelock pattern with a non-trivial tail and cycle, and every
 // on-cycle member published alone, the walk must still report exactly
-// the direct run's rounds and moves.
+// the direct run's rounds and moves. It runs under FSYNC (bare keys,
+// Raw == Rounds) and under round-robin (phase-folded keys, idle
+// iterations making Raw != Rounds).
 func TestMemoizedPartialCycleHazard(t *testing.T) {
 	alg := core.Gatherer{}
-	found := 0
-	for n := 4; n <= 8 && found < 6; n++ {
-		for _, c := range enumerate.Connected(n) {
-			direct := sim.Run(alg, c, directOpts())
-			if direct.Status != sim.Livelock {
-				continue
-			}
-			// Learn the cycle structure from a cold memoized run.
-			full := memo.NewOutcomes()
-			sim.Run(alg, c, memoOpts(full))
-			initOut, ok := full.Load(memo.KeyOf(c.Nodes()))
-			if !ok || initOut.Cycle == nil {
-				t.Fatalf("n=%d %s: livelock outcome not published", n, c.Key())
-			}
-			ci := initOut.Cycle
-			if initOut.Rounds == ci.Len || ci.Len < 2 {
-				continue // need tail ≥ 1 and cycle ≥ 2 to exercise the hazard
-			}
-			found++
-			for member := range ci.Members {
-				out, ok := full.Load(member)
-				if !ok {
-					t.Fatalf("n=%d %s: cycle member unpublished", n, c.Key())
+	for _, tc := range []struct {
+		name string
+		run  func(c config.Config, opts sim.Options) sim.Result
+		key  func(c config.Config) memo.Key // the initial state's store key
+	}{
+		{"fsync",
+			func(c config.Config, o sim.Options) sim.Result { return sim.Run(alg, c, o) },
+			func(c config.Config) memo.Key { return memo.KeyOf(c.Nodes()) }},
+		{"round-robin",
+			func(c config.Config, o sim.Options) sim.Result { return sched.Run(alg, c, sched.RoundRobin{}, o) },
+			func(c config.Config) memo.Key { return memo.KeyOf(c.Nodes()).WithPhase(1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			found, idled := 0, false
+			for n := 4; n <= 8 && found < 6; n++ {
+				for _, c := range enumerate.Connected(n) {
+					direct := tc.run(c, directOpts())
+					if direct.Status != sim.Livelock {
+						continue
+					}
+					// Learn the cycle structure from a cold memoized run.
+					full := memo.NewOutcomes()
+					tc.run(c, memoOpts(full))
+					initOut, ok := full.Load(tc.key(c))
+					if !ok || initOut.Cycle == nil {
+						t.Fatalf("n=%d %s: livelock outcome not published", n, c.Key())
+					}
+					ci := initOut.Cycle
+					if initOut.Rounds == ci.Len || ci.Len < 2 {
+						continue // need tail ≥ 1 and cycle ≥ 2 to exercise the hazard
+					}
+					found++
+					idled = idled || ci.RawLen != ci.Len
+					for member := range ci.Members {
+						out, ok := full.Load(member)
+						if !ok {
+							t.Fatalf("n=%d %s: cycle member unpublished", n, c.Key())
+						}
+						partial := memo.NewOutcomes()
+						partial.Publish(member, out)
+						memod := tc.run(c, memoOpts(partial))
+						compare(t, "partial-cycle", c, direct, memod)
+					}
+					if found >= 6 {
+						break
+					}
 				}
-				partial := memo.NewOutcomes()
-				partial.Publish(member, out)
-				memod := sim.Run(alg, c, memoOpts(partial))
-				compare(t, "partial-cycle", c, direct, memod)
 			}
-			if found >= 6 {
-				break
+			if found == 0 {
+				t.Fatal("no livelock pattern with tail and cycle found — hazard untested")
 			}
-		}
-	}
-	if found == 0 {
-		t.Fatal("no livelock pattern with tail and cycle found — hazard untested")
+			if tc.name == "round-robin" && !idled {
+				t.Fatal("no round-robin cycle with idle iterations found — Raw != Rounds untested")
+			}
+		})
 	}
 }
 

@@ -89,11 +89,3 @@ func runPacked(k step.Kernel, initial config.Config, opts Options) Result {
 	res.Final = config.New(cur...)
 	return res
 }
-
-// DetectCollisionSorted is DetectCollision for callers that keep the
-// robot list in Config order (sorted by Q then R): same rules, same
-// first violation, no per-call maps. It is the kernel's detector
-// (step.DetectCollision), re-exported here for the schedulers' sake.
-func DetectCollisionSorted(robots, targets []grid.Coord, moving []bool) *CollisionInfo {
-	return step.DetectCollision(robots, targets, moving)
-}

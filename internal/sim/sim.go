@@ -159,9 +159,10 @@ type Options struct {
 	// first state whose outcome is already known — with the walked
 	// suffix published backwards along the step.Successor edges for
 	// every later run (of the same sweep, or any sweep sharing the
-	// store) to reuse. Engaged only on the packed fast path with
-	// DetectCycles and StopOnDisconnect set and RecordTrace off — the
-	// standard sweep options — and ignored otherwise.
+	// store) to reuse (Walk, memoized.go). Engaged only on the packed
+	// fast path with DetectCycles and StopOnDisconnect set and
+	// RecordTrace off — the standard sweep options — and ignored
+	// otherwise.
 	//
 	// Status, Rounds and Moves are bit-identical to the unmemoized
 	// run. Final and Collision may come from a translated
@@ -191,7 +192,7 @@ const DefaultMaxRounds = 10000
 func Run(alg core.Algorithm, initial config.Config, opts Options) Result {
 	if _, ok := alg.(core.PackedAlgorithm); ok && alg.VisibilityRange() <= vision.MaxPackedRange {
 		if opts.Outcomes != nil && opts.DetectCycles && opts.StopOnDisconnect && !opts.RecordTrace {
-			return runMemoized(step.New(alg), initial, opts)
+			return walkFSYNC(step.New(alg), initial, opts)
 		}
 		return runPacked(step.New(alg), initial, opts)
 	}

@@ -21,8 +21,9 @@ import (
 //
 // It is the one FSYNC transition shared by the round loop
 // (internal/sim.runPacked) and the memoized configuration-graph walk
-// (internal/sim.runMemoized): outcome propagation along Successor
-// edges memoizes exactly the transitions this function takes. Packable
+// (internal/sim.Walk, see the comment atop internal/sim/memoized.go):
+// outcome propagation along Successor edges memoizes exactly the
+// transitions this function takes. Packable
 // kernels run it allocation-free; unpacked kernels pay one Config
 // construction per round for the map-based views.
 func (k Kernel) Round(nodes, targets []grid.Coord, moving []bool, dst []grid.Coord) ([]grid.Coord, int, *CollisionInfo) {
