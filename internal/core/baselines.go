@@ -79,7 +79,7 @@ func (GreedyEast) Compute(v vision.View) Move {
 
 // greedyMemo backs GreedyEast.ComputePacked; like the Gatherer memos it
 // is process-wide — GreedyEast is stateless, so decisions never go stale.
-var greedyMemo = newMemoTable()
+var greedyMemo memoTable
 
 // ComputePacked implements PackedAlgorithm.
 func (g GreedyEast) ComputePacked(pv vision.PackedView) Move { return greedyMemo.compute(g, pv) }

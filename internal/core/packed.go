@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/vision"
 )
@@ -9,67 +10,45 @@ import (
 // PackedAlgorithm is the fast path of the packed engine: an Algorithm
 // that can also decide from a bitmask view. The simulator's round loop
 // uses ComputePacked (and stays allocation-free) whenever the algorithm
-// implements it and its range fits vision.MaxPackedRange; everything
-// else goes through the legacy map-based path. Implementations must
-// agree with Compute on every view — ComputePacked(pv) must equal
-// Compute(v) whenever pv is the packing of v (the equivalence test in
-// the root package enforces this for every shipped algorithm).
+// implements it and its range fits vision.MaxPackedRange (the paper's
+// range 2); everything else goes through the map-based path.
+// Implementations must agree with Compute on every view —
+// ComputePacked(pv) must equal Compute(v) whenever pv is the packing of
+// v (the equivalence test in the root package enforces this for every
+// shipped algorithm).
 type PackedAlgorithm interface {
 	Algorithm
 	ComputePacked(pv vision.PackedView) Move
 }
 
-// memoTable is one algorithm's lazily filled, concurrency-safe memo
-// from packed views to moves. An oblivious algorithm is a pure function
-// of the view (obliviousness is structural — Compute receives nothing
-// else), so its decisions can be cached indefinitely: the 3652-pattern
-// exhaustive sweep revisits a small set of distinct views thousands of
-// times, and with a warm table every revisit is a lock-cheap hit
-// instead of a map-of-coords allocation plus rule evaluation.
+// memoTable is one algorithm's lazily filled, lock-free memo from packed
+// views to moves. An oblivious algorithm is a pure function of the view
+// (obliviousness is structural — Compute receives nothing else), so its
+// decisions can be cached indefinitely: the exhaustive sweeps revisit a
+// small set of distinct views millions of times, and with a warm table
+// every revisit is one indexed atomic load instead of a map-of-coords
+// allocation plus rule evaluation.
 //
-// The table is sharded to keep the read lock uncontended across a
-// worker pool; the read path does not allocate.
+// The table is dense over every view an algorithm can be asked about:
+// a packed view's bit 0 is the observer, always set, so Bits()>>1
+// indexes the other nodes of Disk(MaxPackedRange) — 2^18 entries for
+// range 2. Entry 0 means not yet computed; otherwise it holds move+1.
+// The zero value is an empty table, ready to use.
 type memoTable struct {
-	shards [memoShards]memoShard
+	moves [memoViews]atomic.Uint32
 }
 
-const memoShards = 16
+// memoViews is the number of packed views with the observer present:
+// Disk(r) has 1+3r(r+1) nodes.
+const memoViews = 1 << (3 * vision.MaxPackedRange * (vision.MaxPackedRange + 1))
 
-type memoShard struct {
-	mu sync.RWMutex
-	m  map[uint64]Move
-}
-
-func newMemoTable() *memoTable {
-	t := &memoTable{}
-	for i := range t.shards {
-		t.shards[i].m = make(map[uint64]Move)
-	}
-	return t
-}
-
-func (t *memoTable) load(key uint64) (Move, bool) {
-	s := &t.shards[key%memoShards]
-	s.mu.RLock()
-	mv, ok := s.m[key]
-	s.mu.RUnlock()
-	return mv, ok
-}
-
-func (t *memoTable) store(key uint64, mv Move) {
-	s := &t.shards[key%memoShards]
-	s.mu.Lock()
-	s.m[key] = mv
-	s.mu.Unlock()
-}
-
+// len counts the decisions memoized so far.
 func (t *memoTable) len() int {
 	n := 0
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
+	for i := range t.moves {
+		if t.moves[i].Load() != 0 {
+			n++
+		}
 	}
 	return n
 }
@@ -79,12 +58,12 @@ func (t *memoTable) len() int {
 // evaluate alg, which is harmless: alg is deterministic, so they store
 // the same move.
 func (t *memoTable) compute(alg Algorithm, pv vision.PackedView) Move {
-	key := pv.Key64()
-	if mv, ok := t.load(key); ok {
-		return mv
+	e := &t.moves[pv.Bits()>>1]
+	if v := e.Load(); v != 0 {
+		return Move(v - 1)
 	}
 	mv := alg.Compute(pv.Unpack())
-	t.store(key, mv)
+	e.Store(uint32(mv) + 1)
 	return mv
 }
 
@@ -100,7 +79,8 @@ type Memo struct {
 	tables map[string]*memoTable
 }
 
-// NewMemo returns an empty cache.
+// NewMemo returns an empty cache. It allocates no table: each
+// algorithm's table is allocated on its first Memoize.
 func NewMemo() *Memo {
 	return &Memo{tables: make(map[string]*memoTable)}
 }
@@ -113,35 +93,10 @@ func (m *Memo) forAlg(name string) *memoTable {
 	defer m.mu.Unlock()
 	t := m.tables[name]
 	if t == nil {
-		t = newMemoTable()
+		t = new(memoTable)
 		m.tables[name] = t
 	}
 	return t
-}
-
-// Snapshot returns a copy of the named algorithm's memoized view→move
-// table: packed-view key (vision.PackedView.Key64) to decided move.
-// It returns nil when no decisions were memoized under that name. The
-// memo generator (cmd/memogen) snapshots a converged sweep's table to
-// produce gatherer_memo_gen.go, and the fixed-point test compares a
-// fresh snapshot against the generated table.
-func (m *Memo) Snapshot(name string) map[uint64]Move {
-	m.mu.Lock()
-	t := m.tables[name]
-	m.mu.Unlock()
-	if t == nil {
-		return nil
-	}
-	out := make(map[uint64]Move)
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		for k, v := range s.m {
-			out[k] = v
-		}
-		s.mu.RUnlock()
-	}
-	return out
 }
 
 // Len returns the number of distinct (algorithm, view) decisions

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestMemoizeMatchesCompute(t *testing.T) {
 }
 
 // TestMemoConcurrent hammers one table from many goroutines; run with
-// -race this doubles as the data-race check for the sharded locks.
+// -race this doubles as the data-race check for the atomic entries.
 func TestMemoConcurrent(t *testing.T) {
 	memo := NewMemo()
 	alg := Memoize(Gatherer{}, memo)
@@ -117,4 +118,51 @@ func TestSharedMemoSegregatesAlgorithms(t *testing.T) {
 			t.Fatalf("paper variant served a wrong cached move: %v, want %v", got, want)
 		}
 	}
+}
+
+// TestDenseTableAllRange2Views checks the dense view→move tables on
+// every one of the 2^18 range-2 views: each mask with the observer bit
+// set is laid out as a sorted node set, looked at with the simulator's
+// LookPackedSorted, and both the process-wide Gatherer table and a
+// fresh caller-owned Memo must decide exactly as Compute does, on the
+// lookup that fills the entry and on the one that reads it back.
+func TestDenseTableAllRange2Views(t *testing.T) {
+	disk := grid.Origin.Disk(2)
+	memoized := Memoize(Gatherer{}, NewMemo())
+	const views = 1 << 18
+	workers := runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			nodes := make([]grid.Coord, 0, len(disk))
+			for idx := w; idx < views; idx += workers {
+				mask := uint64(idx)<<1 | 1
+				nodes = nodes[:0]
+				for i, o := range disk {
+					if mask&(1<<uint(i)) != 0 {
+						nodes = append(nodes, o)
+					}
+				}
+				pv, ok := vision.LookPackedSorted(config.New(nodes...).Nodes(), grid.Origin, 2)
+				if !ok || pv.Bits() != mask {
+					t.Errorf("mask %#x: LookPackedSorted gave %#x (ok=%v)", mask, pv.Bits(), ok)
+					return
+				}
+				want := (Gatherer{}).Compute(pv.Unpack())
+				for pass := 0; pass < 2; pass++ { // a miss that fills, then a hit
+					if got := (Gatherer{}).ComputePacked(pv); got != want {
+						t.Errorf("mask %#x pass %d: Gatherer.ComputePacked %v, Compute %v", mask, pass, got, want)
+						return
+					}
+					if got := memoized.ComputePacked(pv); got != want {
+						t.Errorf("mask %#x pass %d: Memoized.ComputePacked %v, Compute %v", mask, pass, got, want)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

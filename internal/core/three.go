@@ -127,7 +127,7 @@ func TriangleGathered(robots []grid.Coord) bool {
 
 // threeMemo backs ThreeGatherer.ComputePacked (shared like the others;
 // the algorithm is stateless).
-var threeMemo = newMemoTable()
+var threeMemo memoTable
 
 // ComputePacked implements PackedAlgorithm.
 func (t ThreeGatherer) ComputePacked(pv vision.PackedView) Move { return threeMemo.compute(t, pv) }

@@ -38,9 +38,11 @@ type Options struct {
 	// cache handed to several Verify calls (an ablation series, repeated
 	// benchmark iterations, the cmd/verify CLI) stays warm across them;
 	// the cache keys tables per algorithm name, so mixing algorithms is
-	// safe. Algorithms that already carry their own memo (core.Gatherer
-	// and the baselines) are fast without it; the handle exists to share
-	// caching explicitly across sweeps and algorithms that lack one.
+	// safe. Algorithms that already carry their own process-wide memo
+	// (core.Gatherer and the baselines) are fast without it; the handle
+	// exists to share caching explicitly across sweeps and algorithms
+	// that lack one. Each algorithm's table is a dense 1 MB array over
+	// its 2^18 range-2 views, allocated on first use.
 	Cache *core.Memo
 	// Goal overrides the success predicate handed to every run. Nil
 	// selects config.GoalFor(Robots): the paper's hexagon for seven

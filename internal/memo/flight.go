@@ -62,6 +62,14 @@ func (f *Flight[V]) Do(key Key, compute func() (V, error)) (v V, shared bool, er
 		<-c.done
 		return c.val, true, c.err
 	}
+	// A flight may have published and retired between the Load above
+	// and taking the lock. It publishes before it deletes its call, so
+	// a second look under the lock cannot miss it. The first Load
+	// already counted this request, so this one is not counted.
+	if v, ok := f.store.lookup(key); ok {
+		f.mu.Unlock()
+		return v, true, nil
+	}
 	c := &flightCall[V]{done: make(chan struct{})}
 	f.calls[key] = c
 	f.mu.Unlock()

@@ -147,23 +147,27 @@ func shardOf(k config.Key128) int {
 // Load returns the published value for a key, if any, and counts the
 // lookup in the hit/miss statistics.
 func (s *Store[V]) Load(key Key) (V, bool) {
-	var v V
-	var ok bool
-	if key.Exact {
-		sh := &s.shards[shardOf(key.K)]
-		sh.mu.RLock()
-		v, ok = sh.m[key.K]
-		sh.mu.RUnlock()
-	} else {
-		s.slowMu.RLock()
-		v, ok = s.slow[key.S]
-		s.slowMu.RUnlock()
-	}
+	v, ok := s.lookup(key)
 	if ok {
 		s.hits.Add(1)
 	} else {
 		s.misses.Add(1)
 	}
+	return v, ok
+}
+
+// lookup is Load without the hit/miss accounting.
+func (s *Store[V]) lookup(key Key) (v V, ok bool) {
+	if key.Exact {
+		sh := &s.shards[shardOf(key.K)]
+		sh.mu.RLock()
+		v, ok = sh.m[key.K]
+		sh.mu.RUnlock()
+		return v, ok
+	}
+	s.slowMu.RLock()
+	v, ok = s.slow[key.S]
+	s.slowMu.RUnlock()
 	return v, ok
 }
 

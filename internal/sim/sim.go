@@ -285,8 +285,9 @@ func Step(alg core.Algorithm, cur config.Config) (config.Config, int, *Collision
 
 // DetectCollision applies the three rules of §II-A to a simultaneous move
 // vector: robots[i] moves to targets[i] iff moving[i]. It returns the
-// first violation found, or nil. Exported for the alternative schedulers
-// (internal/sched), which must enforce the same rules.
+// first violation found, or nil. It is the map-based reference detector
+// behind Step and the legacy FSYNC loop; the fast paths of sim and
+// sched use step.DetectCollision, which must agree with it.
 func DetectCollision(robots, targets []grid.Coord, moving []bool) *CollisionInfo {
 	pos := make(map[grid.Coord]int, len(robots))
 	for i, p := range robots {

@@ -11,27 +11,30 @@ import (
 // mask corresponds to the i-th offset of grid.Origin.Disk(range) (the
 // disk order: rings by increasing radius, counter-clockwise within each
 // ring, so the origin is bit 0 and smaller ranges are prefixes of larger
-// ones). The range-2 neighborhood of the paper has 19 nodes and fits in a
-// uint32; ranges up to MaxPackedRange fit the uint64 used here. Views at
-// larger ranges keep the map-based View as their representation — Pack
-// and LookPackedSorted report ok=false and callers fall back.
+// ones). The range-2 neighborhood of the paper has 19 nodes; views at
+// ranges beyond MaxPackedRange keep the map-based View as their
+// representation — Pack and LookPackedSorted report ok=false and
+// callers fall back.
 //
-// PackedView is comparable and Key64 is injective, so it serves directly
-// as a memo-table key (see core.Memo). The zero value is not a valid view
-// (every view contains the observer); build one with Pack or
+// PackedView is comparable. Bit 0, the observer, is set in every valid
+// view, so among the views of one range Bits()>>1 is injective and
+// dense: it indexes the view→move tables of core.Memo directly. The
+// zero value is not a valid view; build one with Pack or
 // LookPackedSorted.
 type PackedView struct {
 	rng  uint8
 	bits uint64
 }
 
-// MaxPackedRange is the largest visibility range PackedView represents
-// exactly: Disk(3) has 37 nodes, which still fits the 64-bit mask.
-const MaxPackedRange = 3
+// MaxPackedRange is the largest visibility range PackedView represents.
+// It is the paper's range: Disk(2) has 19 nodes, so with the observer
+// always present a range has 2^18 views, few enough for core to
+// memoize every decision in a dense table.
+const MaxPackedRange = 2
 
 var (
 	// packedOffsets[r] is Origin.Disk(r); len(packedOffsets[r]) is the
-	// number of mask bits a range-r view uses (1, 7, 19, 37).
+	// number of mask bits a range-r view uses (1, 7, 19).
 	packedOffsets [MaxPackedRange + 1][]grid.Coord
 	// packedIndex maps an offset (Q+MaxPackedRange, R+MaxPackedRange) to
 	// its bit index in Disk(MaxPackedRange) order, or -1 when the offset
@@ -132,11 +135,6 @@ func (pv PackedView) Robot(rel grid.Coord) bool {
 	i := packedBitIndex(rel, int(pv.rng))
 	return i >= 0 && pv.bits&(1<<uint(i)) != 0
 }
-
-// Key64 returns an integer key that is injective over valid packed views:
-// the occupancy mask with the range in the top bits (the mask uses at
-// most 37 bits). It is the memo-table key of core.Memo.
-func (pv PackedView) Key64() uint64 { return pv.bits | uint64(pv.rng)<<58 }
 
 // Unpack rebuilds the equivalent map-based View. It allocates; the fast
 // paths only call it on memo misses.

@@ -94,18 +94,26 @@ func TestLookPackedSortedPanicsOffRobot(t *testing.T) {
 	LookPackedSorted(config.Hexagon(grid.Origin).Nodes(), grid.Coord{Q: 5, R: 5}, 2)
 }
 
-func TestKey64InjectiveOverViews(t *testing.T) {
-	seen := map[uint64]string{}
-	for _, c := range somePatterns() {
-		for _, pos := range c.Nodes() {
-			for rng := 1; rng <= MaxPackedRange; rng++ {
+func TestDenseIndexInjectiveOverViews(t *testing.T) {
+	// core's dense memo tables index the views of one range by
+	// Bits()>>1, dropping the observer bit every valid view has set.
+	for rng := 1; rng <= MaxPackedRange; rng++ {
+		seen := map[uint64]string{}
+		for _, c := range somePatterns() {
+			for _, pos := range c.Nodes() {
 				pv, _ := Look(c, pos, rng).Pack()
-				key := pv.Key64()
-				want := pv.Unpack().Key()
-				if prev, dup := seen[key]; dup && prev != want {
-					t.Fatalf("Key64 collision: %q and %q share %#x", prev, want, key)
+				if pv.Bits()&1 == 0 {
+					t.Fatalf("range-%d view %v lacks the observer bit", rng, pv)
 				}
-				seen[key] = want
+				idx := pv.Bits() >> 1
+				if idx >= 1<<(len(packedOffsets[rng])-1) {
+					t.Fatalf("range-%d view %v: index %#x outside the dense table", rng, pv, idx)
+				}
+				want := pv.Unpack().Key()
+				if prev, dup := seen[idx]; dup && prev != want {
+					t.Fatalf("dense index collision at range %d: %q and %q share %#x", rng, prev, want, idx)
+				}
+				seen[idx] = want
 			}
 		}
 	}
