@@ -20,7 +20,7 @@
 //	E18 BenchmarkE18_VerdictService      — verdict-service hit path (O(1), 0 allocs)
 //	E20 BenchmarkE20_N10Sweep            — the full n = 10 FSYNC map
 //	E20 BenchmarkE20_EnumerateN10Key     — key-native n = 10 enumeration
-//	E20 BenchmarkE20_EnumerateN10Legacy  — the materializing engine it replaced
+//	E20 BenchmarkE20_EnumerateN10Legacy  — the materializing reference, ConnectedWithin(10, 1)
 //
 // Run all of them with: go test -bench=. -benchmem .
 package repro
@@ -245,8 +245,8 @@ func BenchmarkE8_SSYNCSweep(b *testing.B) {
 // BenchmarkE11_N8Sweep maps the paper's first open problem (§V,
 // "different numbers of robots") empirically: the seven-robot algorithm
 // on every connected 8-robot pattern — all 16689 of them, enumerated
-// and cycle-checked on exact two-tier keys (config.Key128 past the
-// 64-bit envelope) — under FSYNC, against the generalized
+// and cycle-checked on exact compact keys (config.Key128) — under
+// FSYNC, against the generalized
 // minimum-diameter gathering goal (config.GoalFor(8): diameter 3).
 // The gathered/stalled/livelock/collision breakdown is the result: the
 // first quantitative map of how far the n = 7 construction carries.
@@ -382,8 +382,8 @@ func BenchmarkE20_N10Sweep(b *testing.B) {
 // generations are packed-key sets — a duplicate candidate costs a
 // probe of a flat open-addressed table and no allocation — and the
 // result materializes into one contiguous node array at the end.
-// Judge it against BenchmarkE20_EnumerateN10Legacy below: the
-// acceptance floor for the rewrite was ≥ 3× ns/op and ≥ 5× allocs/op.
+// BenchmarkE20_EnumerateN10Legacy below runs the materializing
+// reference over the same space.
 func BenchmarkE20_EnumerateN10Key(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -393,15 +393,17 @@ func BenchmarkE20_EnumerateN10Key(b *testing.B) {
 	}
 }
 
-// BenchmarkE20_EnumerateN10Legacy is the engine the key-native path
-// replaced — a config.Config per pattern per generation, builtin maps,
-// sort.Slice over configs — kept runnable as the differential
-// reference so the before/after ratio stays visible in every bench
-// run rather than fossilizing in a doc.
+// BenchmarkE20_EnumerateN10Legacy runs the materializing engine,
+// enumerate.ConnectedWithin(10, 1): node lists grown with
+// mergeInsert, a config.Config per pattern per generation, dedup
+// through config.PatternSet, sort by config.Compare. It is the
+// independent reference the key-native engine's tests compare
+// against, kept runnable so the ratio to BenchmarkE20_EnumerateN10Key
+// stays visible in every bench run rather than fossilizing in a doc.
 func BenchmarkE20_EnumerateN10Legacy(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if got := len(enumerate.ConnectedLegacy(10)); got != enumerate.KnownCounts[10] {
+		if got := len(enumerate.ConnectedWithin(10, 1)); got != enumerate.KnownCounts[10] {
 			b.Fatalf("enumerated %d patterns, want %d", got, enumerate.KnownCounts[10])
 		}
 	}

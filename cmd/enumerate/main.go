@@ -1,13 +1,13 @@
 // Command enumerate counts the connected configurations of n robots on
 // the triangular grid up to translation (fixed polyhexes) and prints the
 // table the paper's "3652 patterns" figure comes from. Known reference
-// counts (checked with a ✓) extend through n = 10; sizes through n = 14
-// enumerate on exact two-tier compact keys (config.Key64/Key128), so
-// the n = 8 extension space of E11 never touches string keys.
+// counts (checked with a ✓) extend through n = 12; sizes through n = 14
+// enumerate on exact compact keys (config.Key128), and the count fans
+// out over GOMAXPROCS workers.
 //
 // Usage:
 //
-//	enumerate [-n 7] [-print] [-parallel]
+//	enumerate [-n 7] [-print]
 package main
 
 import (
@@ -21,17 +21,11 @@ import (
 func main() {
 	n := flag.Int("n", 7, "maximum configuration size")
 	print := flag.Bool("print", false, "render every configuration of the largest size")
-	parallel := flag.Bool("parallel", false, "use the parallel enumerator")
 	flag.Parse()
 
 	fmt.Println("size  connected patterns (up to translation)")
 	for k := 1; k <= *n; k++ {
-		var count int
-		if *parallel {
-			count = len(enumerate.ConnectedParallel(k, 0))
-		} else {
-			count = enumerate.Count(k)
-		}
+		count := enumerate.Count(k)
 		marker := ""
 		if k < len(enumerate.KnownCounts) && count == enumerate.KnownCounts[k] {
 			marker = "  ✓"

@@ -75,8 +75,8 @@ func TestThreeGathererPackedMatchesCompute(t *testing.T) {
 }
 
 // legacyConnected is the pre-refactor enumeration: growth deduplicated
-// by canonical string key. It is the reference Key64-based dedup must
-// reproduce exactly.
+// by canonical string key. It is the reference the Key128 dedup of the
+// key-native engine must reproduce exactly.
 func legacyConnected(n int) map[string]config.Config {
 	current := map[string]config.Config{
 		config.New(grid.Origin).Key(): config.New(grid.Origin),
@@ -100,12 +100,11 @@ func legacyConnected(n int) map[string]config.Config {
 	return current
 }
 
-// TestCompactDedupMatchesStringDedup checks that the two-tier
-// compact-key enumeration produces exactly the same pattern set as
-// string-key dedup for every size through n=8: sizes 1..7 exercise the
-// Key64 tier (the paper's 3652 patterns, byte-identical under the
-// two-tier path), and n=8 — past the 64-bit envelope — exercises the
-// Key128 tier over the full 16689-pattern E11 space.
+// TestCompactDedupMatchesStringDedup checks that the compact-key
+// enumeration produces exactly the same pattern set as string-key
+// dedup for every size through n=8: sizes 1..7 cover the paper's 3652
+// patterns, whose keys fit Key128's low word, and n=8 covers the full
+// 16689-pattern E11 space, whose keys spill into the high word.
 func TestCompactDedupMatchesStringDedup(t *testing.T) {
 	top := 8
 	if testing.Short() {

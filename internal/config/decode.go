@@ -6,33 +6,21 @@ import (
 	"repro/internal/grid"
 )
 
-// This file is the inverse of the compact pattern keys: exact decoders
-// that rebuild the normalized pattern from a Key64/Key128 value. They
-// exist for the key-native enumeration engine (internal/enumerate),
-// whose frontier generations are key-only sets — a configuration is
-// materialized from its key only at visit time, so the decoders are the
-// engine's only path from key space back to coordinate space. Both are
-// strict round-trip inverses: FromKey64(k) succeeds exactly on the
-// image of Key64Nodes and FromKey128 on the image of Key128Nodes, and
-// malformed keys (field out of range, nodes out of order) are rejected
-// rather than decoded into a different pattern.
+// This file is the inverse of the compact pattern key: the exact
+// decoder that rebuilds the normalized pattern from a Key128 value. It
+// exists for the enumeration engine (internal/enumerate), whose
+// frontier generations are key-only sets — a configuration is
+// materialized from its key only at visit time, so the decoder is the
+// engine's only path from key space back to coordinate space. It is a
+// strict round-trip inverse: FromKey128 succeeds exactly on the image
+// of Key128Nodes, and malformed keys (field out of range, nodes out of
+// order) are rejected rather than decoded into a different pattern.
 
 // MaxKeyNodes is the largest node count the exact Key128 encoding
 // covers. Every connected pattern through this size is exactly
 // encodable (spread at most n − 1 ≤ 13 < 15), which is what lets the
 // enumeration engine run key-native through n = 14.
 const MaxKeyNodes = 14
-
-// FromKey64 decodes an exact Key64 value back into its normalized
-// configuration: FromKey64(Key64Nodes(c.nodes)) round-trips to
-// c.Normalize() for every exactly-encodable pattern. Values outside the
-// image of Key64Nodes return an error.
-func FromKey64(key uint64) (Config, error) {
-	// Key128 of a Key64-exact pattern is {Hi: 0, Lo: key64}, and no
-	// uint64 can hold an n ≥ 8 encoding (n = 8 needs 67 bits), so the
-	// 128-bit decoder restricted to a zero Hi is exactly the 64-bit one.
-	return FromKey128(Key128{Lo: key})
-}
 
 // FromKey128 decodes an exact Key128 value back into its normalized
 // configuration: FromKey128(Key128Nodes(c.nodes)) round-trips to
@@ -83,8 +71,8 @@ func AppendKey128Nodes(dst []grid.Coord, key Key128) ([]grid.Coord, error) {
 		}
 		dst[base+i] = grid.Coord{Q: dq, R: dr}
 	}
-	// Key64Nodes/Key128Nodes encode nodes in strictly ascending order,
-	// so any other order marks a value outside the encoders' image.
+	// Key128Nodes encodes nodes in strictly ascending order, so any
+	// other order marks a value outside the encoder's image.
 	for i := base + 1; i < base+n; i++ {
 		v, w := dst[i-1], dst[i]
 		if v.Q > w.Q || (v.Q == w.Q && v.R >= w.R) {

@@ -7,30 +7,13 @@ import (
 	"repro/internal/grid"
 )
 
-// The decoders' contract is the exact round trip: FromKey64 ∘ Key64Nodes
-// and FromKey128 ∘ Key128Nodes are the identity on normalized patterns
-// (the exhaustive check over every connected pattern n ≤ 8 lives in
-// internal/enumerate, which owns the pattern generator); here the
-// property is fuzzed over random — including disconnected — node lists,
-// and malformed keys must be rejected, not mis-decoded.
-
-func TestFromKey64RoundTripFuzzed(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 5000; i++ {
-		c := randomPattern(rng, 1+rng.Intn(7), 5).Normalize()
-		k, exact := c.Key64()
-		if !exact {
-			t.Fatalf("small pattern unexpectedly inexact: %s", c.Key())
-		}
-		back, err := FromKey64(k)
-		if err != nil {
-			t.Fatalf("FromKey64(%#x): %v", k, err)
-		}
-		if back.Compare(c) != 0 {
-			t.Fatalf("round trip changed pattern: %s -> %#x -> %s", c.Key(), k, back.Key())
-		}
-	}
-}
+// The decoder's contract is the exact round trip: FromKey128 ∘
+// Key128Nodes is the identity on normalized patterns (the exhaustive
+// check over every connected pattern n ≤ 8 lives in internal/enumerate,
+// which owns the pattern generator); here the property is checked over
+// random — including disconnected — node lists and fuzzed over raw key
+// words (FuzzFromKey128), and malformed keys must be rejected, not
+// mis-decoded.
 
 func TestFromKey128RoundTripFuzzed(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
@@ -103,9 +86,6 @@ func TestFromKeyRejectsMalformed(t *testing.T) {
 			t.Errorf("FromKey128(%#x:%#x) accepted a malformed key", k.Hi, k.Lo)
 		}
 	}
-	if _, err := FromKey64(15); err == nil {
-		t.Error("FromKey64(15) accepted a malformed key")
-	}
 }
 
 // TestFromKey128Empty: the zero key is the empty pattern, matching
@@ -115,4 +95,29 @@ func TestFromKey128Empty(t *testing.T) {
 	if err != nil || c.Len() != 0 {
 		t.Fatalf("zero key decoded to %v, %v", c, err)
 	}
+}
+
+// FuzzFromKey128 fuzzes the one key decoder over raw key words. Any
+// key FromKey128 accepts must decode to a normalized pattern — sorted,
+// duplicate-free, anchored at the origin, exactly what New and
+// Normalize would build from its nodes — and re-encode through Key128
+// to exactly that key; any other key must be rejected with an error,
+// never a panic. The seed corpus lives in
+// testdata/fuzz/FuzzFromKey128.
+func FuzzFromKey128(f *testing.F) {
+	f.Fuzz(func(t *testing.T, hi, lo uint64) {
+		key := Key128{Hi: hi, Lo: lo}
+		c, err := FromKey128(key)
+		if err != nil {
+			return
+		}
+		if !c.Equal(New(c.Nodes()...).Normalize()) {
+			t.Fatalf("FromKey128(%#x:%#x) = %v, not a normalized pattern", hi, lo, c.Nodes())
+		}
+		back, exact := c.Key128()
+		if !exact || back != key {
+			t.Fatalf("FromKey128(%#x:%#x) = %s re-encodes to %#x:%#x (exact %v)",
+				hi, lo, c.Key(), back.Hi, back.Lo, exact)
+		}
+	})
 }

@@ -2,14 +2,14 @@ package config
 
 import "repro/internal/grid"
 
-// This file extends the compact pattern keys past the 64-bit envelope.
-// Key64 covers every pattern of the paper's own workloads (n ≤ 7); the
-// n ≥ 8 extension sweeps (§V open problem 1, experiment E11) need exact
-// keys for wider patterns, and Key128 provides them: the same
-// anchor-relative fixed-width encoding as Key64, accumulated across two
-// words. Together the two keys form a two-tier scheme — Key64 first,
-// Key128 for patterns past it, strings only for patterns past both —
-// used by PatternSet and the enumeration dedup maps.
+// This file implements the compact pattern key. Config.Key builds a
+// string per call, which made enumeration dedup and cycle detection
+// allocation-bound; Key128 packs the same translation-invariant
+// information into two integer words for every connected pattern
+// through n = 14 — the paper's own n = 7 workloads and the n ≥ 8
+// extension sweeps (§V open problem 1, experiment E11) alike. It is
+// the one key of the enumeration engine and PatternSet, which falls
+// back to string keys only for patterns outside the envelope.
 
 // Key128 is a two-word compact pattern key. It is a comparable value
 // type, so it keys Go maps directly.
@@ -20,15 +20,14 @@ type Key128 struct{ Hi, Lo uint64 }
 // they are the same pattern. exact is false when the pattern does not
 // fit the 128-bit encoding (more than 14 nodes, or a node more than 15
 // away from the anchor in Q or R); callers must then fall back to
-// Key(). Every pattern exact under Key64 is also exact here, with the
-// Key64 value in Lo and a zero Hi.
+// Key(). Patterns of at most 7 nodes leave Hi zero.
 func (c Config) Key128() (key Key128, exact bool) { return Key128Nodes(c.nodes) }
 
 // Key128Nodes is Key128 over a raw node list, for hot paths that
 // maintain the sorted slice themselves. nodes must be sorted by Q then
 // R with no duplicates — the invariant Config maintains.
 //
-// Encoding: exactly Key64's scheme on a 128-bit accumulator. With the
+// Encoding: a fixed-width scheme on a 128-bit accumulator. With the
 // anchor a = nodes[0] (the lexicographic minimum, so every delta has
 // dq ≥ 0), the key is built as
 //

@@ -7,9 +7,9 @@ import (
 	"repro/internal/grid"
 )
 
-// TestKey128AgreesWithKey is the contract, mirroring the Key64 test: on
-// exactly-encodable patterns, Key128 equality must coincide with
-// string-Key equality — no collisions, no splits.
+// TestKey128AgreesWithKey is the contract: on exactly-encodable
+// patterns, Key128 equality must coincide with string-Key equality —
+// no collisions, no splits.
 func TestKey128AgreesWithKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	byKey128 := map[Key128]string{}
@@ -45,25 +45,6 @@ func TestKey128TranslationInvariant(t *testing.T) {
 	}
 }
 
-// TestKey128ExtendsKey64 pins the tier relationship: every Key64-exact
-// pattern is Key128-exact with the identical value in the low word —
-// the two-tier maps could in principle share one keyspace.
-func TestKey128ExtendsKey64(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 2000; i++ {
-		c := randomPattern(rng, 1+rng.Intn(7), 5)
-		k64, ok64 := c.Key64()
-		k128, ok128 := c.Key128()
-		if !ok64 || !ok128 {
-			t.Fatalf("small pattern inexact: %s", c.Key())
-		}
-		if k128.Hi != 0 || k128.Lo != k64 {
-			t.Fatalf("Key128 %#x:%#x does not extend Key64 %#x for %s",
-				k128.Hi, k128.Lo, k64, c.Key())
-		}
-	}
-}
-
 func TestKey128FallsBackOutsideEnvelope(t *testing.T) {
 	if _, exact := Line(grid.Origin, grid.E, 8).Key128(); !exact {
 		t.Fatal("8-node pattern not exact under Key128")
@@ -95,12 +76,13 @@ func TestKey128HighWordUsed(t *testing.T) {
 	}
 }
 
-// TestPatternSetThreeTiers exercises all three PatternSet tiers (Key64,
-// Key128, string) plus Reset's pooling contract.
+// TestPatternSetThreeTiers exercises both PatternSet tiers — Key128,
+// with a one-word and a two-word key, and string — plus Reset's
+// pooling contract.
 func TestPatternSetThreeTiers(t *testing.T) {
 	var s PatternSet
-	small := Hexagon(grid.Origin)        // Key64 tier
-	mid := Line(grid.Origin, grid.E, 9)  // Key128 tier
+	small := Hexagon(grid.Origin)        // Key128 tier, Hi word zero
+	mid := Line(grid.Origin, grid.E, 9)  // Key128 tier, Hi word used
 	big := Line(grid.Origin, grid.E, 20) // string tier
 	for i, c := range []Config{small, mid, big} {
 		if !s.Add(c) {

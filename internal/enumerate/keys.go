@@ -11,27 +11,25 @@ import (
 	"repro/internal/grid"
 )
 
-// This file is the key-native enumeration engine. The legacy growth
-// loop (enumerate.go) stores a materialized config.Config per pattern
-// per generation — a slice allocation each, gigabytes of map at n ≥ 11
-// — and merges its parallel workers' partial maps serially. Here a
-// frontier generation is a key-only set: candidates are keyed straight
-// from the growth scratch (config.Key64Nodes / config.Key128Nodes),
-// deduplicated in a 64-way lock-striped shard set (the internal/memo
-// striping idiom), and a configuration is rebuilt from its key
-// (config.FromKey128) only when a caller visits it. The canonical
-// output order is ascending key order — order "key/v1" in
-// sweep.SpecDesc terms — which coincides exactly with the legacy
-// config.Compare order: for same-n normalized patterns the key is the
-// fixed-width concatenation of the node deltas in node order, so
-// integer comparison of keys IS lexicographic comparison of node
-// lists. The final generation is sorted by a parallel chunk merge sort
-// over the packed keys instead of sort.Slice over configs.
+// This file is the enumeration engine. A frontier generation is a
+// key-only set: candidates are keyed straight from the growth scratch
+// (childKey, the fused form of config.Key128Nodes), deduplicated in a
+// 64-way lock-striped shard set (the internal/memo striping idiom),
+// and a configuration is rebuilt from its key (config.FromKey128) only
+// when a caller visits it. The canonical output order is ascending key
+// order — order "key/v1" in sweep.SpecDesc terms — which coincides
+// exactly with config.Compare order: for same-n normalized patterns
+// the key is the fixed-width concatenation of the node deltas in node
+// order, so integer comparison of keys IS lexicographic comparison of
+// node lists. The final generation is sorted by a parallel chunk merge
+// sort over the packed keys.
 
 // MaxKeyN is the largest robot count the key-native engine covers:
 // every connected pattern through config.MaxKeyNodes nodes is exactly
-// Key128-encodable (spread ≤ n−1). Larger sizes — far past any
-// tractable enumeration — fall back to the legacy engine.
+// Key128-encodable (spread ≤ n−1). Larger sizes are far past any
+// tractable enumeration (KnownCounts grows about 4.8× per robot, so
+// n = 15 is roughly 9×10^8 patterns), and every entry point panics on
+// them.
 const MaxKeyN = config.MaxKeyNodes
 
 // Stats describes one enumeration run of the key-native engine — the
@@ -92,9 +90,15 @@ func KeysStats(n, workers int) ([]config.Key128, Stats) {
 }
 
 // growKeyGenerations runs the growth loop and returns the final
-// generation unsorted (content deterministic, order not).
+// generation unsorted (content deterministic, order not). It holds the
+// one size guard every public entry point — Connected, ConnectedStats,
+// Count, Keys and Each — runs through, so they all reject a negative
+// size or one past the exact key envelope the same way, before doing
+// any work.
 func growKeyGenerations(n, workers int) ([]config.Key128, Stats) {
-	checkSize(n)
+	if n < 0 {
+		panic("enumerate: negative size")
+	}
 	if n > MaxKeyN {
 		panic("enumerate: size past the exact key envelope")
 	}
@@ -117,14 +121,6 @@ func growKeyGenerations(n, workers int) ([]config.Key128, Stats) {
 	stats.Patterns = len(cur)
 	stats.DurationUS = time.Since(start).Microseconds()
 	return cur, stats
-}
-
-// countKeys is the non-retaining count: it runs the same growth loop
-// and reads the final generation's size off the shard sets without
-// sorting or materializing anything.
-func countKeys(n, workers int) int {
-	keys, _ := growKeyGenerations(n, workers)
-	return len(keys)
 }
 
 // keyShardCount is the dedup set's stripe count, matching the
@@ -521,16 +517,6 @@ func mergeKeys(out, a, b []config.Key128) {
 // count; visit may be nil to count only, and may return false to stop
 // early. It is the adjacency-connected analogue of EachWithin.
 func Each(n int, visit func(config.Config) bool) int {
-	checkSize(n)
-	if n > MaxKeyN {
-		cs := connectedMap(n).sorted()
-		for _, c := range cs {
-			if visit != nil && !visit(c) {
-				break
-			}
-		}
-		return len(cs)
-	}
 	keys := Keys(n)
 	if visit != nil {
 		for _, k := range keys {
@@ -569,13 +555,4 @@ func normWorkers(workers int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return workers
-}
-
-// checkSize is the one size guard every public entry point shares, so
-// Connected, ConnectedParallel, Count, Keys, and Each agree on
-// negative input.
-func checkSize(n int) {
-	if n < 0 {
-		panic("enumerate: negative size")
-	}
 }

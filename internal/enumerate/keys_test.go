@@ -9,22 +9,22 @@ import (
 )
 
 // TestKeyNativeMatchesLegacy is the source-order contract of the
-// key-native engine: for every size the paper's workloads sweep, the
-// key-native path must reproduce the legacy materializing engine's
-// output byte-identically — same patterns, same canonical order — at
-// every worker count. "key/v1" order and config.Compare order are the
-// same order; this is the test that pins it.
+// key-native engine: for every size the paper's workloads sweep, it
+// must reproduce the materializing reference ConnectedWithin(n, 1)
+// byte-identically — same patterns, same canonical order — at every
+// worker count. "key/v1" order and config.Compare order are the same
+// order; this is the test that pins it.
 func TestKeyNativeMatchesLegacy(t *testing.T) {
 	top := 8
 	if testing.Short() {
 		top = 7
 	}
 	for n := 0; n <= top; n++ {
-		want := ConnectedLegacy(n)
+		want := ConnectedWithin(n, 1)
 		for _, workers := range []int{1, 4, 8} {
-			got := ConnectedParallel(n, workers)
+			got, _ := ConnectedStats(n, workers)
 			if len(got) != len(want) {
-				t.Fatalf("n=%d workers=%d: %d patterns, legacy %d", n, workers, len(got), len(want))
+				t.Fatalf("n=%d workers=%d: %d patterns, reference %d", n, workers, len(got), len(want))
 			}
 			for i := range got {
 				if got[i].Compare(want[i]) != 0 {
@@ -34,18 +34,18 @@ func TestKeyNativeMatchesLegacy(t *testing.T) {
 			}
 		}
 		if got := Connected(n); len(got) != len(want) {
-			t.Fatalf("n=%d: Connected returned %d patterns, legacy %d", n, len(got), len(want))
+			t.Fatalf("n=%d: Connected returned %d patterns, reference %d", n, len(got), len(want))
 		}
 	}
 }
 
 // TestKeysSortedCanonically pins the key list itself: ascending
 // "key/v1" order with no duplicates, decoding index-by-index to the
-// legacy output.
+// materializing reference.
 func TestKeysSortedCanonically(t *testing.T) {
 	for n := 1; n <= 7; n++ {
 		keys := Keys(n)
-		want := ConnectedLegacy(n)
+		want := ConnectedWithin(n, 1)
 		if len(keys) != len(want) {
 			t.Fatalf("n=%d: %d keys, want %d", n, len(keys), len(want))
 		}
@@ -58,23 +58,23 @@ func TestKeysSortedCanonically(t *testing.T) {
 				t.Fatalf("n=%d key %d: %v", n, i, err)
 			}
 			if c.Compare(want[i]) != 0 {
-				t.Fatalf("n=%d: key %d decodes to %s, legacy has %s", n, i, c.Key(), want[i].Key())
+				t.Fatalf("n=%d: key %d decodes to %s, reference has %s", n, i, c.Key(), want[i].Key())
 			}
 		}
 	}
 }
 
-// TestFromKeyRoundTripExhaustive is the decoders' exhaustive property
-// test: FromKey64 ∘ Key64Nodes and FromKey128 ∘ Key128Nodes are the
-// identity over every connected pattern n ≤ 8 (FromKey64 over the
-// n ≤ 7 part of the space, its whole exact envelope).
+// TestFromKeyRoundTripExhaustive is the decoder's exhaustive property
+// test: FromKey128 ∘ Key128Nodes is the identity over every connected
+// pattern n ≤ 8, taken from the materializing reference so the
+// patterns never pass through the decoder on the way in.
 func TestFromKeyRoundTripExhaustive(t *testing.T) {
 	top := 8
 	if testing.Short() {
 		top = 7
 	}
 	for n := 1; n <= top; n++ {
-		for _, c := range ConnectedLegacy(n) {
+		for _, c := range ConnectedWithin(n, 1) {
 			k128, ok := c.Key128()
 			if !ok {
 				t.Fatalf("n=%d: pattern %s not Key128-exact", n, c.Key())
@@ -85,17 +85,6 @@ func TestFromKeyRoundTripExhaustive(t *testing.T) {
 			}
 			if back.Compare(c) != 0 {
 				t.Fatalf("n=%d: Key128 round trip %s -> %s", n, c.Key(), back.Key())
-			}
-			if k64, ok := c.Key64(); ok {
-				back, err := config.FromKey64(k64)
-				if err != nil {
-					t.Fatalf("n=%d: FromKey64: %v", n, err)
-				}
-				if back.Compare(c) != 0 {
-					t.Fatalf("n=%d: Key64 round trip %s -> %s", n, c.Key(), back.Key())
-				}
-			} else if n <= 7 {
-				t.Fatalf("n=%d: pattern %s not Key64-exact", n, c.Key())
 			}
 		}
 	}
@@ -202,12 +191,11 @@ func TestKeysStats(t *testing.T) {
 // rejects a negative size the same way.
 func TestNegativeSizePanics(t *testing.T) {
 	calls := map[string]func(){
-		"Connected":         func() { Connected(-1) },
-		"ConnectedParallel": func() { ConnectedParallel(-1, 2) },
-		"ConnectedLegacy":   func() { ConnectedLegacy(-1) },
-		"Count":             func() { Count(-1) },
-		"Keys":              func() { Keys(-1) },
-		"Each":              func() { Each(-1, nil) },
+		"Connected":      func() { Connected(-1) },
+		"ConnectedStats": func() { ConnectedStats(-1, 2) },
+		"Count":          func() { Count(-1) },
+		"Keys":           func() { Keys(-1) },
+		"Each":           func() { Each(-1, nil) },
 	}
 	for name, call := range calls {
 		func() {
@@ -218,5 +206,35 @@ func TestNegativeSizePanics(t *testing.T) {
 			}()
 			call()
 		}()
+	}
+}
+
+// TestPastEnvelopePanics: past MaxKeyN there is no engine to fall back
+// on, so every entry point panics with the envelope message before
+// doing any work — a visit callback is never reached.
+func TestPastEnvelopePanics(t *testing.T) {
+	const n = MaxKeyN + 1
+	visited := false
+	calls := []struct {
+		name string
+		call func()
+	}{
+		{"Connected", func() { Connected(n) }},
+		{"ConnectedStats", func() { ConnectedStats(n, 2) }},
+		{"Count", func() { Count(n) }},
+		{"Each", func() { Each(n, func(config.Config) bool { visited = true; return true }) }},
+	}
+	for _, tc := range calls {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != "enumerate: size past the exact key envelope" {
+					t.Errorf("%s(%d) panicked with %v, want the envelope message", tc.name, n, r)
+				}
+			}()
+			tc.call()
+		})
+	}
+	if visited {
+		t.Error("Each visited a pattern past the envelope")
 	}
 }

@@ -1,31 +1,31 @@
 package enumerate
 
 import (
+	"slices"
+
 	"repro/internal/config"
 	"repro/internal/grid"
 )
 
 // ConnectedWithin returns all n-node configurations, up to translation,
 // whose *visibility graph* at the given range is connected: nodes are
-// adjacent in that graph when their distance is at most visRange.
-// ConnectedWithin(n, 1) equals Connected(n). The paper's §V lists
-// gathering from range-2-visibility-connected initial configurations as
-// future work; the relaxed sweep (experiment E9) uses this enumeration.
+// adjacent in that graph when their distance is at most visRange. The
+// result is EachWithin's stream sorted by config.Compare, so
+// ConnectedWithin(n, 1) equals Connected(n) — and, grown by
+// materializing node lists (mergeInsert) and deduplicated through a
+// config.PatternSet rather than by childKey, the key table and the
+// decoder, it is the independent reference the key engine's tests
+// compare against. The paper's §V lists gathering from
+// range-2-visibility-connected initial configurations as future work;
+// the relaxed sweep (experiment E9) uses this enumeration.
 func ConnectedWithin(n, visRange int) []config.Config {
-	if n < 0 || visRange < 1 {
-		panic("enumerate: bad arguments")
-	}
-	if n == 0 {
-		return nil
-	}
-	current := seedPatterns()
-	var scr growScratch
-	for size := 1; size < n; size++ {
-		next := newPatternMap(current.len() * 6)
-		current.each(func(c config.Config) { growWithinInto(c, visRange, next, &scr) })
-		current = next
-	}
-	return current.sorted()
+	var out []config.Config
+	EachWithin(n, visRange, func(c config.Config) bool {
+		out = append(out, c)
+		return true
+	})
+	slices.SortFunc(out, config.Config.Compare)
+	return out
 }
 
 // EachWithin streams every n-node visibility-connected pattern to visit
@@ -75,21 +75,6 @@ func EachWithin(n, visRange int, visit func(config.Config) bool) int {
 		}
 	}
 	return count
-}
-
-// growWithinInto extends c by one node within visRange of an existing
-// node, deduplicating by compact key into dst.
-func growWithinInto(c config.Config, visRange int, dst *patternMap, scr *growScratch) {
-	scr.base = c.AppendNodes(scr.base[:0])
-	for _, v := range scr.base {
-		for _, nb := range v.Disk(visRange) {
-			if containsCoord(scr.base, nb) {
-				continue
-			}
-			scr.merged = mergeInsert(scr.merged[:0], scr.base, nb)
-			dst.addMerged(scr.merged)
-		}
-	}
 }
 
 // RandomWithin grows one random n-node configuration whose visibility

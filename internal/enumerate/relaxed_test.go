@@ -109,8 +109,9 @@ func TestRandomWithinDeterministicPerSeed(t *testing.T) {
 }
 
 // TestEachWithinMatchesConnectedWithin checks that the streaming
-// enumeration yields exactly the materialized pattern set — same
-// count, same patterns, no duplicates — and that early stop works.
+// enumeration yields exactly the sorted pattern set ConnectedWithin
+// returns — same count, same patterns, each normalized, no duplicates
+// — that the counting pass agrees, and that early stop works.
 func TestEachWithinMatchesConnectedWithin(t *testing.T) {
 	for _, tc := range []struct{ n, r int }{{3, 2}, {4, 2}, {5, 2}, {4, 3}} {
 		want := map[string]bool{}

@@ -22,6 +22,7 @@ import (
 	"repro/internal/enumerate"
 	"repro/internal/exhaustive"
 	"repro/internal/grid"
+	"repro/internal/memo"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -366,9 +367,13 @@ func TestAdversaryModeWorkerDeterminism(t *testing.T) {
 		t.Fatalf("parallel sweep delivered %d verdicts, want %d", delivered, seq.Patterns)
 	}
 	// Neutralize the scheduling-dependent diagnostics, then require
-	// bit-identical reports.
+	// bit-identical reports. Memo is the shared solver store's
+	// hit/miss counters, and which worker reaches a shared game state
+	// first is a race: under load the parallel sweep has counted one
+	// more hit and one more miss than the serial one.
 	seq.SolverStates, par.SolverStates = 0, 0
 	seq.PeakPending, par.PeakPending = 0, 0
+	seq.Memo, par.Memo = memo.Stats{}, memo.Stats{}
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("worker count changed the adversary report:\nseq: %+v\npar: %+v", seq, par)
 	}
